@@ -110,6 +110,15 @@ fn main() {
             "max depth seen".into(),
             format!("{}", report.max_depth_seen),
         ],
+        vec![
+            "visited key bytes".into(),
+            format!(
+                "{} ({:.1} B/state)",
+                report.visited_key_bytes,
+                report.visited_key_bytes as f64 / report.states_explored.max(1) as f64
+            ),
+        ],
+        vec!["peak frontier".into(), format!("{}", report.peak_frontier)],
         vec!["wall clock".into(), format!("{:.2}s", wall.as_secs_f64())],
     ];
     print_table(&["metric", "value"], &rows);

@@ -54,7 +54,6 @@ use crate::stats::{ClusterStats, Outcome};
 use quorum_core::reassign::SiteAssignment;
 use quorum_core::{Access, QuorumSpec, VoteAssignment};
 use quorum_des::SimTime;
-use std::collections::BTreeMap;
 
 /// Opaque handle to a pending session timer, issued by a [`Scheduler`].
 ///
@@ -132,6 +131,53 @@ struct Session {
     timer: TimerToken,
 }
 
+/// The open sessions, sorted by id.
+///
+/// Ids are issued in increasing order, so opening a session appends;
+/// only a session re-inserted after a guarded remove lands mid-table.
+/// Iteration is in id order (quorum-lint `no-unordered-iteration`):
+/// drains and sweeps over open sessions feed stats and canonical
+/// encodings. A sorted `Vec` instead of a `BTreeMap` because a core
+/// holds a handful of sessions and the model checker clones one core
+/// per explored state; an almost empty B-tree leaf costs ~1.4 KB each.
+#[derive(Debug, Clone, Default)]
+struct SessionTable(Vec<(SessionId, Session)>);
+
+impl SessionTable {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn ids(&self) -> impl Iterator<Item = SessionId> + '_ {
+        self.0.iter().map(|&(id, _)| id)
+    }
+
+    fn position(&self, id: SessionId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&id, |&(k, _)| k)
+    }
+
+    fn get(&self, id: SessionId) -> Option<&Session> {
+        self.position(id).ok().map(|i| &self.0[i].1)
+    }
+
+    fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
+        self.position(id).ok().map(|i| &mut self.0[i].1)
+    }
+
+    /// Inserts `session` under `id` at its sorted position, replacing
+    /// any session already stored there.
+    fn insert(&mut self, id: SessionId, session: Session) {
+        match self.position(id) {
+            Ok(i) => self.0[i].1 = session,
+            Err(i) => self.0.insert(i, (id, session)),
+        }
+    }
+
+    fn remove(&mut self, id: SessionId) -> Option<Session> {
+        self.position(id).ok().map(|i| self.0.remove(i).1)
+    }
+}
+
 /// Durable per-site replica state.
 #[derive(Debug, Clone, Copy)]
 struct SiteState {
@@ -191,10 +237,7 @@ pub struct ProtocolCore<'a> {
     votes: &'a VoteAssignment,
     num_sites: usize,
     sites: Vec<SiteState>,
-    // Ordered by session id (quorum-lint `no-unordered-iteration`):
-    // drains and sweeps over open sessions feed stats and canonical
-    // encodings, so iteration order must be deterministic.
-    sessions: BTreeMap<SessionId, Session>,
+    sessions: SessionTable,
     next_session: SessionId,
     checker: FreshnessChecker,
     stats: ClusterStats,
@@ -223,7 +266,7 @@ impl<'a> ProtocolCore<'a> {
                 };
                 num_sites
             ],
-            sessions: BTreeMap::new(),
+            sessions: SessionTable::default(),
             next_session: NO_SESSION + 1,
             checker: FreshnessChecker::new(),
             stats: ClusterStats::new(&config.latency_bounds),
@@ -266,18 +309,18 @@ impl<'a> ProtocolCore<'a> {
     }
 
     /// Ids of unresolved sessions, ascending.
-    pub fn session_ids(&self) -> Vec<SessionId> {
-        self.sessions.keys().copied().collect()
+    pub fn session_ids(&self) -> impl Iterator<Item = SessionId> + '_ {
+        self.sessions.ids()
     }
 
     /// Coordinator of session `id`, if the session is still open.
     pub fn session_origin(&self, id: SessionId) -> Option<usize> {
-        self.sessions.get(&id).map(|s| s.origin)
+        self.sessions.get(id).map(|s| s.origin)
     }
 
     /// Snapshot of session `id`, if still open.
     pub fn session_view(&self, id: SessionId) -> Option<SessionView<'_>> {
-        self.sessions.get(&id).map(|s| SessionView {
+        self.sessions.get(id).map(|s| SessionView {
             origin: s.origin,
             kind: s.kind,
             phase: s.phase,
@@ -511,7 +554,7 @@ impl<'a> ProtocolCore<'a> {
         epoch: u64,
         sched: &mut impl Scheduler,
     ) {
-        let Some(s) = self.sessions.get_mut(&id) else {
+        let Some(s) = self.sessions.get_mut(id) else {
             return; // session already resolved; stale reply
         };
         if s.phase != SessionPhase::Gather || s.contributed[from] {
@@ -540,7 +583,7 @@ impl<'a> ProtocolCore<'a> {
         // Single guarded lookup: remove, accumulate, and re-insert if
         // the session stays open. A stale ack for a resolved session is
         // silently ignored rather than a panic path.
-        let Some(mut s) = self.sessions.remove(&id) else {
+        let Some(mut s) = self.sessions.remove(id) else {
             return;
         };
         if s.phase != SessionPhase::Commit || s.contributed[from] {
@@ -563,7 +606,7 @@ impl<'a> ProtocolCore<'a> {
     /// re-inserts it only if it stays open, so a call for an
     /// already-resolved session is a no-op instead of a panic.
     fn quorum_reached(&mut self, id: SessionId, sched: &mut impl Scheduler) {
-        let Some(mut s) = self.sessions.remove(&id) else {
+        let Some(mut s) = self.sessions.remove(id) else {
             return;
         };
         match s.kind {
@@ -634,14 +677,14 @@ impl<'a> ProtocolCore<'a> {
     /// threshold. Under [`ClusterConfig::mix_epoch_votes`] the pre-fix
     /// mixing behavior is restored as an ablation.
     pub fn session_timeout(&mut self, id: SessionId, origin_up: bool, sched: &mut impl Scheduler) {
-        let Some(s) = self.sessions.get_mut(&id) else {
+        let Some(s) = self.sessions.get_mut(id) else {
             return; // cancelled timers never fire; defensive only
         };
         let origin = s.origin;
         if s.round >= self.config.max_retries || !origin_up {
             let s = self
                 .sessions
-                .remove(&id)
+                .remove(id)
                 .expect("session looked up just above");
             self.resolve_timed_out(s, sched);
             return;
@@ -764,6 +807,7 @@ impl<'a> ProtocolCore<'a> {
 mod tests {
     use super::*;
     use quorum_des::SimParams;
+    use std::collections::BTreeMap;
 
     /// A minimal deterministic scheduler: sent messages pile up in a
     /// vector, timers in a map. Tests deliver and fire by hand.
@@ -1021,5 +1065,67 @@ mod tests {
         // Firing a stale timer for the resolved session is also a no-op.
         core.session_timeout(id, true, &mut sched);
         assert_eq!(core.open_sessions(), 0);
+    }
+
+    fn grant(from: usize, session: SessionId) -> Message {
+        Message {
+            from,
+            to: 0,
+            session,
+            payload: Payload::VoteGrant {
+                votes: 1,
+                version: 0,
+                epoch: 0,
+            },
+        }
+    }
+
+    fn ack(from: usize, session: SessionId) -> Message {
+        Message {
+            from,
+            to: 0,
+            session,
+            payload: Payload::CommitAck { votes: 1 },
+        }
+    }
+
+    /// The session table stays sorted by id when the middle session
+    /// leaves and re-enters it through `quorum_reached` (gather →
+    /// commit) and both of `ack_received`'s re-insert paths (duplicate
+    /// ack, ack short of the quorum), and when it finally resolves.
+    #[test]
+    fn session_table_keeps_id_order_across_reinserts() {
+        let cfg = test_config(false);
+        let votes = VoteAssignment::uniform(3);
+        let mut core = ProtocolCore::new(&cfg, &votes, QuorumSpec::new(2, 3, 3).unwrap());
+        let mut sched = BagScheduler::default();
+        let ids: Vec<SessionId> = (0..3)
+            .map(|_| core.open_session(0, Access::Write, None, &mut sched))
+            .collect();
+        let mid = ids[1];
+        let open = |core: &ProtocolCore<'_>| core.session_ids().collect::<Vec<_>>();
+        assert_eq!(open(&core), ids);
+
+        core.handle_message(grant(1, mid), &mut sched);
+        core.handle_message(grant(2, mid), &mut sched);
+        assert_eq!(core.session_view(mid).unwrap().phase, SessionPhase::Commit);
+        assert_eq!(open(&core), ids);
+
+        core.handle_message(ack(1, mid), &mut sched);
+        assert_eq!(core.session_view(mid).unwrap().votes, 2);
+        core.handle_message(ack(1, mid), &mut sched);
+        assert_eq!(
+            core.session_view(mid).unwrap().votes,
+            2,
+            "duplicate ack ignored"
+        );
+        assert_eq!(open(&core), ids);
+
+        core.handle_message(ack(2, mid), &mut sched);
+        assert!(core.session_view(mid).is_none(), "write committed");
+        assert_eq!(open(&core), vec![ids[0], ids[2]]);
+        for &id in &[ids[0], ids[2]] {
+            assert_eq!(core.session_view(id).unwrap().phase, SessionPhase::Gather);
+        }
     }
 }

@@ -3,6 +3,7 @@
 
 use quorum_core::Access;
 use quorum_obs::{keys, HistogramRecord, Registry};
+use std::sync::Arc;
 
 /// Client-visible resolution of one quorum session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,9 +19,11 @@ pub enum Outcome {
 
 /// A fixed-bucket latency histogram (bounds are upper edges; one extra
 /// overflow bucket). Mirrors [`quorum_obs::HistogramRecord`] semantics.
+/// Clones share the bucket edges, so cloning a protocol core (as the
+/// model checker does per explored state) copies only the counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
-    bounds: Vec<f64>,
+    bounds: Arc<[f64]>,
     counts: Vec<u64>,
     sum: f64,
 }
@@ -29,7 +32,7 @@ impl LatencyHistogram {
     /// Creates a histogram with the given ascending bucket upper edges.
     pub fn new(bounds: &[f64]) -> Self {
         Self {
-            bounds: bounds.to_vec(),
+            bounds: bounds.into(),
             counts: vec![0; bounds.len() + 1],
             sum: 0.0,
         }
@@ -75,7 +78,7 @@ impl LatencyHistogram {
     pub fn to_record(&self, name: &str) -> HistogramRecord {
         HistogramRecord {
             name: name.to_string(),
-            bounds: self.bounds.clone(),
+            bounds: self.bounds.to_vec(),
             counts: self.counts.clone(),
         }
     }

@@ -24,7 +24,7 @@
 //!
 //! ## State canonicalization
 //!
-//! A state is hashed by a canonical byte encoding of its semantic
+//! A state is keyed by a canonical byte encoding of its semantic
 //! content: site versions/epochs, open-session accumulators, the sorted
 //! in-flight multiset, and the script/mode counters. Timer token values
 //! and statistics counters are deliberately excluded — they never affect
@@ -33,6 +33,12 @@
 //! preserve votes, fix every scripted origin, and map every mode's
 //! partition onto itself), quotienting away interchangeable-site
 //! symmetry.
+//!
+//! Every integer field is a LEB128 varint and every record is
+//! self-delimiting, so the encoding is prefix-free and therefore
+//! injective: two states share a key iff they are the same state up to
+//! symmetry. The visited set stores each key exactly once, at its exact
+//! length — no fingerprints, no lossy hashing.
 //!
 //! ## Reduction
 //!
@@ -68,15 +74,18 @@ use quorum_cluster::{
 use quorum_core::Access;
 use quorum_des::SimTime;
 use quorum_obs::Registry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// The enumerable transport: sent messages pile up in an in-flight bag,
-/// timers in a token map. The explorer picks which message to deliver or
-/// drop and which timer to fire; nothing ever happens spontaneously.
+/// timers in a token-ordered list. The explorer picks which message to
+/// deliver or drop and which timer to fire; nothing ever happens
+/// spontaneously.
 #[derive(Debug, Clone, Default)]
 pub struct BagScheduler {
     in_flight: Vec<Message>,
-    timers: BTreeMap<u64, SessionId>,
+    /// `(token, session)` ascending by token: tokens are issued in
+    /// increasing order, so arming a timer appends.
+    timers: Vec<(u64, SessionId)>,
     next_token: u64,
 }
 
@@ -87,8 +96,14 @@ impl BagScheduler {
     }
 
     /// Sessions with a pending timer, ordered by token age.
-    pub fn pending_timers(&self) -> Vec<(u64, SessionId)> {
-        self.timers.iter().map(|(&t, &s)| (t, s)).collect()
+    pub fn pending_timers(&self) -> &[(u64, SessionId)] {
+        &self.timers
+    }
+
+    /// Removes the pending timer `token`, returning its session.
+    fn take_timer(&mut self, token: u64) -> Option<SessionId> {
+        let i = self.timers.binary_search_by_key(&token, |&(t, _)| t).ok()?;
+        Some(self.timers.remove(i).1)
     }
 }
 
@@ -105,12 +120,12 @@ impl Scheduler for BagScheduler {
     fn arm_timer(&mut self, id: SessionId, _timeout: f64) -> TimerToken {
         let raw = self.next_token;
         self.next_token += 1;
-        self.timers.insert(raw, id);
+        self.timers.push((raw, id));
         TimerToken::new(raw)
     }
 
     fn cancel_timer(&mut self, token: TimerToken) -> bool {
-        self.timers.remove(&token.raw()).is_some()
+        self.take_timer(token.raw()).is_some()
     }
 }
 
@@ -188,6 +203,11 @@ pub struct McReport {
     pub symmetry_perms: u64,
     /// Deepest BFS layer reached.
     pub max_depth_seen: u32,
+    /// Total bytes of the canonical keys held in the visited set (one
+    /// key per explored state).
+    pub visited_key_bytes: u64,
+    /// Most states queued in the BFS frontier at once.
+    pub peak_frontier: u64,
 }
 
 impl McReport {
@@ -217,6 +237,8 @@ impl McReport {
         registry.add(keys::MC_CROSS_EPOCH_VIOLATIONS, self.cross_epoch_violations);
         registry.add(keys::MC_STALE_READ_VIOLATIONS, self.stale_read_violations);
         registry.add(keys::MC_MULTI_WRITE_VIOLATIONS, self.multi_write_violations);
+        registry.add(keys::MC_VISITED_KEY_BYTES, self.visited_key_bytes);
+        registry.add(keys::MC_PEAK_FRONTIER, self.peak_frontier);
         if let Some(d) = self.first_violation_depth {
             registry.set_gauge(keys::MC_FIRST_VIOLATION_DEPTH, d as f64);
         }
@@ -273,6 +295,8 @@ struct Ctx<'a> {
     site_group: Vec<Vec<usize>>,
     /// Valid site permutations (always contains the identity).
     perms: Vec<Vec<usize>>,
+    /// `inverses[k]` is the inverse of `perms[k]`.
+    inverses: Vec<Vec<usize>>,
 }
 
 impl Ctx<'_> {
@@ -340,135 +364,195 @@ fn permute(p: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
     }
 }
 
-fn push_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
+/// Longest LEB128 encoding of a `u64`.
+const VARINT_MAX: usize = 10;
+/// Longest message encoding: endpoints and session id, then the largest
+/// payload (tag, kind, three integers).
+const MSG_KEY_MAX: usize = 3 * VARINT_MAX + 2 + 3 * VARINT_MAX;
+
+/// Byte sink for canonical keys.
+trait KeyWriter {
+    fn put(&mut self, byte: u8);
+
+    /// LEB128: seven bits per byte, low group first, the high bit set on
+    /// every byte but the last. Prefix-free, so a key built from varints
+    /// and fixed-width bytes decodes uniquely.
+    fn put_varint(&mut self, mut x: u64) {
+        while x >= 0x80 {
+            self.put((x & 0x7F) as u8 | 0x80);
+            x >>= 7;
+        }
+        self.put(x as u8);
+    }
+
+    fn put_index(&mut self, i: usize) {
+        self.put_varint(i as u64);
+    }
 }
 
-fn encode_payload(out: &mut Vec<u8>, payload: &Payload) {
+impl KeyWriter for Vec<u8> {
+    fn put(&mut self, byte: u8) {
+        self.push(byte);
+    }
+}
+
+/// One in-flight message's encoding, built on the stack so sorting the
+/// bag allocates nothing per message.
+struct MsgKey {
+    bytes: [u8; MSG_KEY_MAX],
+    len: usize,
+}
+
+impl MsgKey {
+    fn new(perm: &[usize], m: &Message) -> Self {
+        let mut k = Self {
+            bytes: [0; MSG_KEY_MAX],
+            len: 0,
+        };
+        k.put_index(perm[m.from]);
+        k.put_index(perm[m.to]);
+        k.put_varint(m.session);
+        encode_payload(&mut k, &m.payload);
+        k
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+impl KeyWriter for MsgKey {
+    fn put(&mut self, byte: u8) {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+    }
+}
+
+fn encode_payload(out: &mut impl KeyWriter, payload: &Payload) {
     match *payload {
         Payload::VoteRequest {
             kind,
             epoch,
             epoch_spec,
         } => {
-            out.push(0);
-            out.push(kind as u8);
-            push_u64(out, epoch);
-            push_u64(out, epoch_spec.q_r());
-            push_u64(out, epoch_spec.q_w());
+            out.put(0);
+            out.put(kind as u8);
+            out.put_varint(epoch);
+            out.put_varint(epoch_spec.q_r());
+            out.put_varint(epoch_spec.q_w());
         }
         Payload::ReadValue {
             votes,
             version,
             epoch,
         } => {
-            out.push(1);
-            push_u64(out, votes);
-            push_u64(out, version);
-            push_u64(out, epoch);
+            out.put(1);
+            out.put_varint(votes);
+            out.put_varint(version);
+            out.put_varint(epoch);
         }
         Payload::VoteGrant {
             votes,
             version,
             epoch,
         } => {
-            out.push(2);
-            push_u64(out, votes);
-            push_u64(out, version);
-            push_u64(out, epoch);
+            out.put(2);
+            out.put_varint(votes);
+            out.put_varint(version);
+            out.put_varint(epoch);
         }
         Payload::VoteDeny { epoch, epoch_spec } => {
-            out.push(3);
-            push_u64(out, epoch);
-            push_u64(out, epoch_spec.q_r());
-            push_u64(out, epoch_spec.q_w());
+            out.put(3);
+            out.put_varint(epoch);
+            out.put_varint(epoch_spec.q_r());
+            out.put_varint(epoch_spec.q_w());
         }
         Payload::WriteCommit { version } => {
-            out.push(4);
-            push_u64(out, version);
+            out.put(4);
+            out.put_varint(version);
         }
         Payload::CommitAck { votes } => {
-            out.push(5);
-            push_u64(out, votes);
+            out.put(5);
+            out.put_varint(votes);
         }
         Payload::Install { epoch, epoch_spec } => {
-            out.push(6);
-            push_u64(out, epoch);
-            push_u64(out, epoch_spec.q_r());
-            push_u64(out, epoch_spec.q_w());
+            out.put(6);
+            out.put_varint(epoch);
+            out.put_varint(epoch_spec.q_r());
+            out.put_varint(epoch_spec.q_w());
         }
     }
 }
 
-/// Encodes the state's semantic content under a site renaming. Timer
-/// token values, statistics, and clock are excluded: they never affect
-/// future protocol behavior.
-fn encode(ctx: &Ctx<'_>, st: &McState<'_>, perm: &[usize]) -> Vec<u8> {
-    let n = ctx.universe.num_sites();
-    let mut inv = vec![0usize; n];
-    for (i, &p) in perm.iter().enumerate() {
-        inv[p] = i;
-    }
-    let mut out = Vec::with_capacity(96);
-    out.push(st.mode as u8);
-    out.push(st.net_changes as u8);
-    out.push(st.next_access as u8);
-    out.push(st.next_install as u8);
-    for &orig in &inv {
+/// Encodes the state's semantic content under the site renaming `perm`
+/// (with inverse `inv`) into `out`, replacing its contents. Timer token
+/// values, statistics, and clock are excluded: they never affect future
+/// protocol behavior.
+///
+/// Layout: the four script/mode counters; per site its version and
+/// epoch; the open-session count, then one record per session; the
+/// in-flight messages sorted by their encodings, to the end of the key.
+/// Each record has a fixed field sequence, so the whole key parses back
+/// uniquely.
+fn encode(st: &McState<'_>, perm: &[usize], inv: &[usize], out: &mut Vec<u8>) {
+    out.clear();
+    out.put_index(st.mode);
+    out.put_varint(u64::from(st.net_changes));
+    out.put_index(st.next_access);
+    out.put_index(st.next_install);
+    for &orig in inv {
         let v = st.core.site_view(orig);
-        push_u64(&mut out, v.version);
-        push_u64(&mut out, v.epoch);
+        out.put_varint(v.version);
+        out.put_varint(v.epoch);
     }
+    out.put_index(st.core.open_sessions());
     for id in st.core.session_ids() {
         let v = st.core.session_view(id).expect("listed session is open");
-        push_u64(&mut out, id);
-        out.push(perm[v.origin] as u8);
-        out.push(match v.kind {
+        out.put_varint(id);
+        out.put_index(perm[v.origin]);
+        out.put(match v.kind {
             Access::Read => 0,
             Access::Write => 1,
         });
-        out.push(match v.phase {
+        out.put(match v.phase {
             SessionPhase::Gather => 0,
             SessionPhase::Commit => 1,
         });
-        out.push(v.round as u8);
-        push_u64(&mut out, v.votes);
-        for &orig in &inv {
-            out.push(u8::from(v.contributed[orig]));
+        out.put_varint(u64::from(v.round));
+        out.put_varint(v.votes);
+        for &orig in inv {
+            out.put(u8::from(v.contributed[orig]));
         }
-        push_u64(&mut out, v.epoch);
-        push_u64(&mut out, v.max_version);
-        push_u64(&mut out, v.new_version);
-        out.push(u8::from(st.sched.timers.values().any(|&s| s == id)));
+        out.put_varint(v.epoch);
+        out.put_varint(v.max_version);
+        out.put_varint(v.new_version);
+        out.put(u8::from(st.sched.timers.iter().any(|&(_, s)| s == id)));
     }
-    out.push(0xFF);
-    let mut msgs: Vec<Vec<u8>> = st
+    let mut msgs: Vec<MsgKey> = st
         .sched
         .in_flight
         .iter()
-        .map(|m| {
-            let mut b = Vec::with_capacity(32);
-            b.push(perm[m.from] as u8);
-            b.push(perm[m.to] as u8);
-            push_u64(&mut b, m.session);
-            encode_payload(&mut b, &m.payload);
-            b
-        })
+        .map(|m| MsgKey::new(perm, m))
         .collect();
-    msgs.sort();
-    for m in msgs {
-        out.extend_from_slice(&m);
+    msgs.sort_unstable_by(|a, b| a.as_bytes().cmp(b.as_bytes()));
+    for m in &msgs {
+        out.extend_from_slice(m.as_bytes());
     }
-    out
 }
 
-/// The canonical key: minimum encoding over the symmetry group.
-fn canonical_key(ctx: &Ctx<'_>, st: &McState<'_>) -> Vec<u8> {
-    ctx.perms
-        .iter()
-        .map(|p| encode(ctx, st, p))
-        .min()
-        .expect("the identity permutation is always present")
+/// The canonical key: minimum encoding over the symmetry group, stored
+/// at its exact length.
+fn canonical_key(ctx: &Ctx<'_>, st: &McState<'_>) -> Box<[u8]> {
+    let mut best = Vec::with_capacity(128);
+    let mut candidate = Vec::new();
+    encode(st, &ctx.perms[0], &ctx.inverses[0], &mut best);
+    for (perm, inv) in ctx.perms.iter().zip(&ctx.inverses).skip(1) {
+        encode(st, perm, inv, &mut candidate);
+        if candidate < best {
+            std::mem::swap(&mut best, &mut candidate);
+        }
+    }
+    best.into_boxed_slice()
 }
 
 /// Is delivering `msg` a no-op now *and in every future*? Such a message
@@ -537,7 +621,7 @@ fn choices(ctx: &Ctx<'_>, st: &McState<'_>, reduction: bool, report: &mut McRepo
             cs.push(Choice::Drop(i));
         }
     }
-    for &tok in st.sched.timers.keys() {
+    for &(tok, _) in &st.sched.timers {
         cs.push(Choice::Timer(tok));
     }
     if st.net_changes < ctx.universe.max_net_changes {
@@ -614,8 +698,7 @@ fn step<'a>(
         Choice::Timer(tok) => {
             let id = s
                 .sched
-                .timers
-                .remove(&tok)
+                .take_timer(tok)
                 .expect("enumerated timers are pending");
             let pre = s.core.session_view(id).map(|v| (v.epoch, v.origin));
             {
@@ -709,11 +792,22 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
     } else {
         vec![(0..n).collect()]
     };
+    let inverses = perms
+        .iter()
+        .map(|perm| {
+            let mut inv = vec![0; n];
+            for (i, &p) in perm.iter().enumerate() {
+                inv[p] = i;
+            }
+            inv
+        })
+        .collect();
     let ctx = Ctx {
         universe,
         mix: opts.mix_epoch_votes,
         site_group,
         perms,
+        inverses,
     };
     let max_depth = opts.max_depth.unwrap_or(universe.max_depth);
     let max_states = opts.max_states.unwrap_or(universe.max_states);
@@ -734,11 +828,14 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
     if multi_write_component(&ctx, &root) {
         report.record(ViolationKind::MultiWriteComponent, 0);
     }
-    let mut visited: BTreeSet<Vec<u8>> = BTreeSet::new();
-    visited.insert(canonical_key(&ctx, &root));
+    let mut visited: BTreeSet<Box<[u8]>> = BTreeSet::new();
+    let root_key = canonical_key(&ctx, &root);
+    report.visited_key_bytes = root_key.len() as u64;
+    visited.insert(root_key);
     report.states_explored = 1;
     let mut frontier: VecDeque<(McState<'_>, u32)> = VecDeque::new();
     frontier.push_back((root, 0));
+    report.peak_frontier = 1;
 
     'bfs: while let Some((st, depth)) = frontier.pop_front() {
         report.max_depth_seen = report.max_depth_seen.max(depth);
@@ -755,7 +852,10 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
             for kind in viols {
                 report.record(kind, depth + 1);
             }
-            if visited.insert(canonical_key(&ctx, &next)) {
+            let key = canonical_key(&ctx, &next);
+            let key_len = key.len() as u64;
+            if visited.insert(key) {
+                report.visited_key_bytes += key_len;
                 if multi_write_component(&ctx, &next) {
                     report.record(ViolationKind::MultiWriteComponent, depth + 1);
                 }
@@ -765,6 +865,7 @@ pub fn explore(universe: &Universe, opts: &ExploreOptions) -> McReport {
                     break 'bfs;
                 }
                 frontier.push_back((next, depth + 1));
+                report.peak_frontier = report.peak_frontier.max(frontier.len() as u64);
             }
         }
     }
@@ -859,5 +960,49 @@ mod tests {
         assert!(report.capped);
         assert!(!report.exhaustive());
         assert_eq!(report.states_explored, 5);
+    }
+
+    #[test]
+    fn cancel_timer_reports_only_pending_tokens() {
+        let mut sched = BagScheduler::default();
+        let a = sched.arm_timer(7, 1.0);
+        let b = sched.arm_timer(8, 1.0);
+        let c = sched.arm_timer(9, 1.0);
+        assert!(sched.cancel_timer(b));
+        assert!(!sched.cancel_timer(b), "already cancelled");
+        assert!(!sched.cancel_timer(TimerToken::new(99)), "never issued");
+        assert_eq!(sched.take_timer(a.raw()), Some(7));
+        assert!(!sched.cancel_timer(a), "already fired");
+        assert_eq!(sched.pending_timers(), &[(c.raw(), 9)]);
+    }
+
+    fn varint(x: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.put_varint(x);
+        out
+    }
+
+    #[test]
+    fn varint_writer_encodes_group_boundaries() {
+        assert_eq!(varint(0), [0x00]);
+        assert_eq!(varint(127), [0x7F]);
+        assert_eq!(varint(128), [0x80, 0x01]);
+        assert_eq!(varint(16_383), [0xFF, 0x7F]);
+        assert_eq!(varint(16_384), [0x80, 0x80, 0x01]);
+        let max = varint(u64::MAX);
+        assert_eq!(max.len(), VARINT_MAX);
+        assert_eq!(max[..9], [0xFF; 9]);
+        assert_eq!(max[9], 0x01);
+    }
+
+    #[test]
+    fn varint_writer_is_prefix_free() {
+        let values = [0, 1, 127, 128, 255, 256, 16_383, 16_384, 1 << 35, u64::MAX];
+        for &a in &values {
+            for &b in &values {
+                let (ea, eb) = (varint(a), varint(b));
+                assert_eq!(eb.starts_with(&ea), a == b, "{a} vs {b}");
+            }
+        }
     }
 }

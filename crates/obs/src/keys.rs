@@ -117,6 +117,11 @@ pub const MC_NOOP_SKIPS: &str = "mc.noop_skips";
 pub const MC_SYMMETRY_PERMS: &str = "mc.symmetry_perms";
 /// Deepest BFS layer reached during exploration.
 pub const MC_MAX_DEPTH: &str = "mc.max_depth";
+/// Bytes of canonical state keys held in the model checker's visited
+/// set (exact; one key per explored state).
+pub const MC_VISITED_KEY_BYTES: &str = "mc.visited_key_bytes";
+/// Most states queued in the model checker's BFS frontier at once.
+pub const MC_PEAK_FRONTIER: &str = "mc.peak_frontier";
 
 // ---- keys below were registered when obs-key-registry (quorum-lint)
 // ---- made the schema bidirectional; values are byte-identical to the

@@ -15,6 +15,13 @@
 //! 3. The search is deterministic, and the soundness-critical reduction
 //!    and symmetry options change cost, never verdicts.
 //!
+//! The exact exploration counts of every universe here are pinned with
+//! `assert_eq!` on the whole [`McReport`]: a change to the state
+//! representation or the canonical key must leave them bit-identical,
+//! so one that silently merges or splits states fails here even when
+//! the verdicts survive. Only `visited_key_bytes` is left free (it
+//! measures the key encoding itself) and is bounded instead.
+//!
 //! The full standard universe (partition toggles enabled) runs ~2.5M
 //! states in release; debug-mode tests trim it to the fully-connected
 //! mode (`max_net_changes = 0`, ~600k states), which still reaches the
@@ -23,7 +30,8 @@
 
 #![forbid(unsafe_code)]
 
-use quorum_mc::{explore, ExploreOptions, Universe};
+use quorum_core::{Access, QuorumSpec, VoteAssignment};
+use quorum_mc::{explore, ExploreOptions, McReport, Universe};
 
 /// The standard universe with partition toggles disabled: small enough
 /// for debug-mode exhaustion, still containing the install/retry races.
@@ -31,6 +39,23 @@ fn trimmed_standard() -> Universe {
     let mut u = Universe::standard();
     u.max_net_changes = 0;
     u
+}
+
+/// Asserts `report` equals `expected` in every field but
+/// `visited_key_bytes`, which must stay within the CI memory gate of
+/// 96 key bytes per explored state.
+fn assert_pinned(report: &McReport, expected: McReport) {
+    assert!(
+        report.visited_key_bytes <= 96 * report.states_explored,
+        "canonical keys grew past 96 B/state: {report:?}"
+    );
+    assert_eq!(
+        *report,
+        McReport {
+            visited_key_bytes: report.visited_key_bytes,
+            ..expected
+        }
+    );
 }
 
 #[test]
@@ -46,6 +71,19 @@ fn fixed_engine_certifies_clean_exhaustively() {
     assert!(
         report.states_explored > 100_000,
         "suspiciously small space: {report:?}"
+    );
+    assert_pinned(
+        &report,
+        McReport {
+            states_explored: 579_945,
+            transitions: 1_594_049,
+            por_skips: 929_176,
+            noop_skips: 434_127,
+            symmetry_perms: 1,
+            max_depth_seen: 26,
+            peak_frontier: 90_540,
+            ..McReport::default()
+        },
     );
 }
 
@@ -68,6 +106,80 @@ fn ablation_is_caught_by_the_checker() {
     // The bug needs an install racing a retry; it cannot fire at the
     // root or within the first couple of protocol steps.
     assert!(report.first_cross_epoch_depth.unwrap() >= 3);
+    assert_pinned(
+        &report,
+        McReport {
+            states_explored: 709_265,
+            transitions: 1_907_413,
+            cross_epoch_violations: 34_841,
+            first_violation_depth: Some(6),
+            first_cross_epoch_depth: Some(6),
+            por_skips: 1_097_977,
+            noop_skips: 537_810,
+            symmetry_perms: 1,
+            max_depth_seen: 24,
+            peak_frontier: 115_468,
+            ..McReport::default()
+        },
+    );
+}
+
+#[test]
+fn symmetric_universe_counts_are_pinned() {
+    let u = Universe::symmetric();
+    assert_pinned(
+        &explore(&u, &ExploreOptions::default()),
+        McReport {
+            states_explored: 349,
+            transitions: 676,
+            por_skips: 281,
+            noop_skips: 249,
+            symmetry_perms: 2,
+            max_depth_seen: 12,
+            peak_frontier: 75,
+            ..McReport::default()
+        },
+    );
+    let plain = ExploreOptions {
+        reduction: false,
+        symmetry: false,
+        ..ExploreOptions::default()
+    };
+    assert_pinned(
+        &explore(&u, &plain),
+        McReport {
+            states_explored: 4_372,
+            transitions: 26_102,
+            symmetry_perms: 1,
+            max_depth_seen: 12,
+            peak_frontier: 1_156,
+            ..McReport::default()
+        },
+    );
+}
+
+/// Every state field is keyed at full width. A one-site universe with
+/// 258 network modes and one permitted switch reaches exactly 258
+/// states (the initial mode plus one per other mode); a key that
+/// truncated the mode index to a byte would alias mode 257 with mode 1
+/// and silently skip a real state.
+#[test]
+fn wide_state_fields_never_alias() {
+    let u = Universe {
+        name: "wide-modes",
+        votes: VoteAssignment::uniform(1),
+        initial_spec: QuorumSpec::new(1, 1, 1).expect("valid spec"),
+        accesses: Vec::<(usize, Access)>::new(),
+        installs: Vec::new(),
+        modes: vec![vec![vec![0]]; 258],
+        max_net_changes: 1,
+        max_retries: 1,
+        max_depth: 8,
+        max_states: 1_000,
+    };
+    let report = explore(&u, &ExploreOptions::default());
+    assert!(report.exhaustive(), "{report:?}");
+    assert_eq!(report.states_explored, 258, "{report:?}");
 }
 
 #[test]
