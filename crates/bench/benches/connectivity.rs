@@ -1,6 +1,6 @@
 //! Benchmarks component recomputation — the simulator's hot loop — across
-//! the paper's topology range, plus the dirty-flag cache ablation
-//! (DESIGN.md §5: full BFS per event vs lazy recomputation).
+//! the paper's topology range, and the incremental kernel's event replay
+//! against a from-scratch BFS per event (DESIGN.md §8).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quorum_graph::{
@@ -59,9 +59,10 @@ fn apply_to_state(state: &mut NetworkState, ev: TopologyEvent) {
 }
 
 /// The simulator's hot-loop shape: 1 topology event per 8 component
-/// reads, replayed under each kernel. `full_bfs` pays a queue-based BFS
-/// per event, `bitset_bfs` a word-parallel rebuild per event, and
-/// `delta` only the affected component (or nothing at all).
+/// reads. `full_bfs` pays a queue-based [`ComponentView::compute`] per
+/// event, `bitset_bfs` a word-parallel rebuild per event, and `delta`
+/// (the engines' [`ComponentCache`]) only the affected component, or
+/// nothing at all.
 fn bench_event_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_replay");
     for chords in [0usize, 256, 1024] {
@@ -71,13 +72,12 @@ fn bench_event_replay(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("full_bfs", chords), &chords, |b, _| {
             b.iter(|| {
                 let mut state = NetworkState::all_up(&topo);
-                let mut cache = ComponentCache::new();
                 let mut acc = 0u64;
                 for (i, &ev) in trace.iter().enumerate() {
                     apply_to_state(&mut state, ev);
-                    cache.apply_event(&topo, &state, &votes, ev);
+                    let view = ComponentView::compute(&topo, &state, &votes);
                     for k in 0..8usize {
-                        acc += cache.view(&topo, &state, &votes).votes_of((i + k) % 101);
+                        acc += view.votes_of((i + k) % 101);
                     }
                 }
                 black_box(acc)
@@ -100,7 +100,7 @@ fn bench_event_replay(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("delta", chords), &chords, |b, _| {
             b.iter(|| {
                 let mut state = NetworkState::all_up(&topo);
-                let mut cache = ComponentCache::incremental();
+                let mut cache = ComponentCache::new();
                 cache.view(&topo, &state, &votes);
                 let mut acc = 0u64;
                 for (i, &ev) in trace.iter().enumerate() {
@@ -144,40 +144,5 @@ fn bench_bfs(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_cache_ablation(c: &mut Criterion) {
-    // Access pattern with 1 topology event per 8 accesses: the cache
-    // should win ~8x over always-recompute.
-    let topo = Topology::ring_with_chords(101, 256);
-    let votes = vec![1u64; 101];
-    let mut group = c.benchmark_group("cache_ablation");
-    group.bench_function("always_recompute", |b| {
-        let state = NetworkState::all_up(&topo);
-        b.iter(|| {
-            let mut acc = 0u64;
-            for i in 0..64 {
-                let view = ComponentView::compute(&topo, &state, &votes);
-                acc += view.votes_of(i % 101);
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("dirty_flag_cache", |b| {
-        let mut state = NetworkState::all_up(&topo);
-        b.iter(|| {
-            let mut cache = ComponentCache::new();
-            let mut acc = 0u64;
-            for i in 0..64usize {
-                if i % 8 == 0 {
-                    state.set_site(i % 101, i % 16 == 0);
-                    cache.invalidate();
-                }
-                acc += cache.view(&topo, &state, &votes).votes_of(i % 101);
-            }
-            black_box(acc)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_bfs, bench_cache_ablation, bench_event_replay);
+criterion_group!(benches, bench_bfs, bench_event_replay);
 criterion_main!(benches);

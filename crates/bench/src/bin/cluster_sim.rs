@@ -27,7 +27,7 @@
 
 #![forbid(unsafe_code)]
 
-use quorum_bench::{default_threads, manifest, pct, print_table, run_jobs, Args, Scale};
+use quorum_bench::{default_threads, manifest, pct, print_table, Args, Scale};
 use quorum_cluster::{
     run_cluster, run_cluster_observed, ClusterConfig, LatencyDist, NetConfig, RunOptions,
 };
@@ -35,6 +35,7 @@ use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_graph::Topology;
 use quorum_obs::{Registry, RunManifest};
 use quorum_replica::Workload;
+use quorum_stats::par_map;
 
 /// Builds the topology plus matching votes/workload. The bus hub (node
 /// 0) is pure wiring: zero votes, zero workload weight.
@@ -189,10 +190,6 @@ fn single_run(args: &Args, scale: Scale, seed: u64) {
     manifest::write_requested(args, &m);
 }
 
-/// One sweep cell's measurements: (ACC, goodput, read/write latency means).
-type CellResult = (f64, f64, f64, f64);
-type CellJob<'a> = Box<dyn FnOnce() -> CellResult + Send + 'a>;
-
 fn sweep(args: &Args, scale: Scale, seed: u64) {
     let sites: usize = args.get_or("sites", 9);
     let alpha: f64 = args.get_or("alpha", 0.7);
@@ -220,34 +217,27 @@ fn sweep(args: &Args, scale: Scale, seed: u64) {
         .iter()
         .flat_map(|&lat| qrs.iter().map(move |&qr| (lat, qr)))
         .collect();
-    let jobs: Vec<CellJob<'_>> = cells
-        .iter()
-        .map(|&(lat, qr)| {
-            let (topo, votes, workload) = (&topo, votes.clone(), workload.clone());
-            Box::new(move || {
-                let mut cfg = ClusterConfig::new(params);
-                cfg.net = NetConfig {
-                    latency: LatencyDist::Exponential { mean: lat },
-                    loss: 0.01,
-                };
-                // No retries: a session must beat the timeout on its
-                // first round, so ACC itself pays the fan-out cost (the
-                // `q_r`-th fastest reply) instead of hiding it behind
-                // retransmissions.
-                cfg.max_retries = 0;
-                let spec = QuorumSpec::from_read_quorum(qr, total).expect("domain is legal");
-                let res = run_cluster(topo, &cfg, spec, votes, workload, seed);
-                assert!(res.is_fresh(), "stale committed read — protocol bug");
-                (
-                    res.availability(),
-                    res.combined.goodput(),
-                    res.combined.read_latency.mean(),
-                    res.combined.write_latency.mean(),
-                )
-            }) as CellJob<'_>
-        })
-        .collect();
-    let results = run_jobs(threads, jobs);
+    // Per cell: (ACC, goodput, read/write latency means).
+    let results = par_map(&cells, threads, |&(lat, qr)| {
+        let mut cfg = ClusterConfig::new(params);
+        cfg.net = NetConfig {
+            latency: LatencyDist::Exponential { mean: lat },
+            loss: 0.01,
+        };
+        // No retries: a session must beat the timeout on its first
+        // round, so ACC itself pays the fan-out cost (the `q_r`-th
+        // fastest reply) instead of hiding it behind retransmissions.
+        cfg.max_retries = 0;
+        let spec = QuorumSpec::from_read_quorum(qr, total).expect("domain is legal");
+        let res = run_cluster(&topo, &cfg, spec, votes.clone(), workload.clone(), seed);
+        assert!(res.is_fresh(), "stale committed read — protocol bug");
+        (
+            res.availability(),
+            res.combined.goodput(),
+            res.combined.read_latency.mean(),
+            res.combined.write_latency.mean(),
+        )
+    });
 
     let mut m = RunManifest::new("cluster_sim_sweep", seed);
     m.params = manifest::sim_params_record(&params);

@@ -13,10 +13,11 @@
 
 #![forbid(unsafe_code)]
 
-use quorum_bench::{default_threads, pct, run_jobs, Args, Scale};
+use quorum_bench::{default_threads, pct, Args, Scale};
 use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_replica::scenario::PaperScenario;
-use quorum_replica::{run_static, RunConfig, RunResults, Workload};
+use quorum_replica::{run_static, RunConfig, Workload};
+use quorum_stats::par_map;
 
 fn main() {
     let args = Args::parse();
@@ -38,28 +39,21 @@ fn main() {
     );
 
     let ladder: Vec<u64> = vec![1, 2, 5, 10, 20, 30, 40, 50];
-    let topo_ref = &topo;
     let params = scale.params();
-    let jobs: Vec<Box<dyn FnOnce() -> (u64, RunResults) + Send>> = ladder
-        .iter()
-        .map(|&q_r| {
-            Box::new(move || {
-                let res = run_static(
-                    topo_ref,
-                    VoteAssignment::uniform(n),
-                    QuorumSpec::from_read_quorum(q_r, total).expect("valid"),
-                    Workload::uniform(n, alpha),
-                    RunConfig {
-                        params,
-                        seed: seed + q_r,
-                        threads: 1,
-                    },
-                );
-                (q_r, res)
-            }) as Box<dyn FnOnce() -> (u64, RunResults) + Send>
-        })
-        .collect();
-    let results = run_jobs(threads, jobs);
+    let results = par_map(&ladder, threads, |&q_r| {
+        let res = run_static(
+            &topo,
+            VoteAssignment::uniform(n),
+            QuorumSpec::from_read_quorum(q_r, total).expect("valid"),
+            Workload::uniform(n, alpha),
+            RunConfig {
+                params,
+                seed: seed + q_r,
+                threads: 1,
+            },
+        );
+        (q_r, res)
+    });
 
     println!("q_r\tq_w\tavailability\tread_A\twrite_A\tcontacts/access");
     for (q_r, res) in results {

@@ -14,11 +14,12 @@
 
 #![forbid(unsafe_code)]
 
-use quorum_bench::{default_threads, manifest, pct, run_jobs, Args, Scale};
+use quorum_bench::{default_threads, manifest, pct, Args, Scale};
 use quorum_core::{QuorumSpec, SearchStrategy, VoteAssignment};
 use quorum_obs::Registry;
 use quorum_replica::scenario::{PaperScenario, PAPER_ALPHAS};
-use quorum_replica::{run_static_observed, CurveSet, RunConfig, RunResults, Workload};
+use quorum_replica::{run_static_observed, CurveSet, RunConfig, Workload};
+use quorum_stats::par_map;
 
 fn main() {
     let args = Args::parse();
@@ -37,30 +38,22 @@ fn main() {
     let registry = Registry::new();
     let runs = {
         let _t = registry.scoped_timer(quorum_obs::keys::RW_RATIO_SIMULATIONS);
-        let reg = &registry;
-        let jobs: Vec<Box<dyn FnOnce() -> RunResults + Send + '_>> = scenarios
-            .iter()
-            .map(|sc| {
-                let topo = sc.topology();
-                let cfg = RunConfig {
+        par_map(&scenarios, threads, |sc| {
+            let topo = sc.topology();
+            let n = topo.num_sites();
+            run_static_observed(
+                &topo,
+                VoteAssignment::uniform(n),
+                QuorumSpec::from_read_quorum(n as u64 / 2, n as u64).expect("valid"),
+                Workload::uniform(n, 0.5),
+                RunConfig {
                     params: scale.params(),
                     seed,
                     threads: 1,
-                };
-                Box::new(move || {
-                    let n = topo.num_sites();
-                    run_static_observed(
-                        &topo,
-                        VoteAssignment::uniform(n),
-                        QuorumSpec::from_read_quorum(n as u64 / 2, n as u64).expect("valid"),
-                        Workload::uniform(n, 0.5),
-                        cfg,
-                        reg,
-                    )
-                }) as Box<dyn FnOnce() -> RunResults + Send + '_>
-            })
-            .collect();
-        run_jobs(threads, jobs)
+                },
+                &registry,
+            )
+        })
     };
 
     println!("topology\talpha\topt_q_r\topt_A\tendpoint\tA_at_majority_end\tmajority_is_minimum");

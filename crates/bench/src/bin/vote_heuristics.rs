@@ -17,11 +17,12 @@
 
 #![forbid(unsafe_code)]
 
-use quorum_bench::{default_threads, pct, run_jobs, Args, Scale};
+use quorum_bench::{default_threads, pct, Args, Scale};
 use quorum_core::{QuorumConsensus, QuorumSpec, VoteAssignment};
 use quorum_graph::{articulation_weighted_votes, Topology};
 use quorum_replica::simulation::NullObserver;
 use quorum_replica::{Simulation, Workload};
+use quorum_stats::par_map;
 
 fn barbell(k: usize) -> Topology {
     // Two complete graphs of k sites joined by one bridge edge.
@@ -81,16 +82,10 @@ fn main() {
             let primary_site = cuts.first().copied().unwrap_or(0);
             let mut primary = vec![0u64; n];
             primary[primary_site] = 1;
-            let assignments = vec![uniform, degree, articulation, primary];
-            let topo_ref = &topo;
-            let jobs: Vec<Box<dyn FnOnce() -> f64 + Send>> = assignments
-                .into_iter()
-                .map(|votes| {
-                    Box::new(move || simulate(topo_ref, votes, alpha, scale, reliability, seed))
-                        as Box<dyn FnOnce() -> f64 + Send>
-                })
-                .collect();
-            let out = run_jobs(threads, jobs);
+            let assignments = [uniform, degree, articulation, primary];
+            let out = par_map(&assignments, threads, |votes| {
+                simulate(topo, votes.clone(), alpha, scale, reliability, seed)
+            });
             println!(
                 "{}\t{}\t{}\t{}\t{}",
                 topo.name(),

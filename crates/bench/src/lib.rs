@@ -3,17 +3,15 @@
 //! Each binary in `src/bin/` regenerates one artifact of the paper's
 //! evaluation (see DESIGN.md §4 for the index and EXPERIMENTS.md for the
 //! recorded outcomes). This library provides the tiny argument parser,
-//! table formatting, the scale presets, and a crossbeam-based parallel
-//! driver for sweeping many simulation configurations with dynamic load
-//! balancing (paper topologies differ by 50× in link count, so static
-//! partitioning wastes workers).
+//! table formatting and the scale presets; sweeps over many simulation
+//! configurations run on [`quorum_stats::par_map`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use parking_lot::Mutex;
 use quorum_des::SimParams;
 use std::collections::BTreeMap;
+use std::fmt;
 
 pub mod manifest;
 pub mod validate;
@@ -30,19 +28,42 @@ pub struct Args {
     values: BTreeMap<String, String>,
 }
 
+/// A command-line argument the parser cannot accept.
+#[derive(Debug, PartialEq, Eq)]
+pub struct ArgError(String);
+
+impl ArgError {
+    /// Reports the error on stderr and exits with status 2, the usual
+    /// status for command-line misuse.
+    fn exit(&self) -> ! {
+        eprintln!("error: {self}");
+        std::process::exit(2)
+    }
+}
+
+impl fmt::Display for ArgError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
 impl Args {
-    /// Parses `std::env::args()` (skipping the binary name).
+    /// Parses `std::env::args()` (skipping the binary name); a positional
+    /// argument is reported on stderr and exits with status 2.
     pub fn parse() -> Self {
-        Self::from_args(std::env::args().skip(1))
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| e.exit())
     }
 
-    /// Parses an explicit argument list (used by tests).
-    pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
+    /// Parses an explicit argument list.
+    ///
+    /// # Errors
+    /// Returns an [`ArgError`] for a positional argument.
+    pub fn from_args(args: impl IntoIterator<Item = String>) -> Result<Self, ArgError> {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let Some(name) = arg.strip_prefix("--") else {
-                panic!("unexpected positional argument {arg:?}");
+                return Err(ArgError(format!("unexpected positional argument {arg:?}")));
             };
             match iter.peek() {
                 Some(next) if !next.starts_with("--") => {
@@ -52,7 +73,7 @@ impl Args {
                 _ => out.flags.push(name.to_string()),
             }
         }
-        out
+        Ok(out)
     }
 
     /// True if `--name` was passed as a bare flag.
@@ -60,21 +81,34 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
-    /// Value of `--name <value>`, parsed.
+    /// Value of `--name <value>`, parsed, or an [`ArgError`] naming the
+    /// option if the value does not parse as `T`.
+    fn try_get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError>
+    where
+        T::Err: fmt::Display,
+    {
+        self.values
+            .get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| ArgError(format!("--{name} {v:?}: {e}")))
+            })
+            .transpose()
+    }
+
+    /// Value of `--name <value>`, parsed; a value that does not parse is
+    /// reported on stderr and exits with status 2.
     pub fn get<T: std::str::FromStr>(&self, name: &str) -> Option<T>
     where
-        T::Err: std::fmt::Debug,
+        T::Err: fmt::Display,
     {
-        self.values.get(name).map(|v| {
-            v.parse()
-                .unwrap_or_else(|e| panic!("--{name} {v:?}: {e:?}"))
-        })
+        self.try_get(name).unwrap_or_else(|e| e.exit())
     }
 
     /// Value with a default.
     pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T
     where
-        T::Err: std::fmt::Debug,
+        T::Err: fmt::Display,
     {
         self.get(name).unwrap_or(default)
     }
@@ -132,43 +166,6 @@ impl Scale {
     }
 }
 
-/// Runs `jobs` closures across `threads` workers with dynamic (queue-based)
-/// load balancing, returning results in job order.
-///
-/// Uses a crossbeam channel as the work queue: paper topologies range from
-/// 101 to 5050 links, so equal-sized static chunks would leave most
-/// workers idle while one grinds the fully-connected case.
-pub fn run_jobs<T: Send>(threads: usize, jobs: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
-    let n = jobs.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return jobs.into_iter().map(|j| j()).collect();
-    }
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Box<dyn FnOnce() -> T + Send + '_>)>();
-    for (i, j) in jobs.into_iter().enumerate() {
-        tx.send((i, j)).expect("queue open");
-    }
-    drop(tx);
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let rx = rx.clone();
-            let results = &results;
-            scope.spawn(move || {
-                while let Ok((i, job)) = rx.recv() {
-                    let out = job();
-                    results.lock()[i] = Some(out);
-                }
-            });
-        }
-    });
-    results
-        .into_inner()
-        .into_iter()
-        .map(|o| o.expect("every job ran"))
-        .collect()
-}
-
 /// Formats a fraction as the paper prints availabilities (percent).
 pub fn pct(x: f64) -> String {
     format!("{:5.1}%", 100.0 * x)
@@ -193,8 +190,12 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
 
-    fn argv(s: &str) -> Args {
+    fn try_argv(s: &str) -> Result<Args, ArgError> {
         Args::from_args(s.split_whitespace().map(String::from))
+    }
+
+    fn argv(s: &str) -> Args {
+        try_argv(s).expect("valid arguments")
     }
 
     #[test]
@@ -221,28 +222,25 @@ mod tests {
     }
 
     #[test]
-    fn run_jobs_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..20usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = run_jobs(4, jobs);
-        assert_eq!(out, (0..20).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_jobs_single_thread() {
-        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![Box::new(|| 1), Box::new(|| 2)];
-        assert_eq!(run_jobs(1, jobs), vec![1, 2]);
-    }
-
-    #[test]
     fn pct_formatting() {
         assert_eq!(pct(0.721), " 72.1%");
     }
 
     #[test]
-    #[should_panic(expected = "positional")]
     fn positional_args_rejected() {
-        argv("topology");
+        let err = try_argv("--seed 3 topology").expect_err("positional");
+        assert_eq!(
+            err.to_string(),
+            "unexpected positional argument \"topology\""
+        );
+    }
+
+    #[test]
+    fn unparsable_values_rejected() {
+        let a = argv("--seed twelve --alpha 0.5");
+        let err = a.try_get::<u64>("seed").expect_err("not a u64");
+        assert!(err.to_string().starts_with("--seed \"twelve\": "), "{err}");
+        assert_eq!(a.try_get::<f64>("alpha"), Ok(Some(0.5)));
+        assert_eq!(a.try_get::<f64>("missing"), Ok(None));
     }
 }

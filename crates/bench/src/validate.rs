@@ -9,13 +9,14 @@
 //! binary) lets the integration tests drive the same code path at a tiny
 //! scale and assert on the produced [`RunManifest`].
 
-use crate::{run_jobs, Args, Scale};
+use crate::{Args, Scale};
 use quorum_core::metrics::AvailabilityMetric;
 use quorum_core::{QuorumSpec, VoteAssignment};
 use quorum_des::SimParams;
 use quorum_obs::{keys, Registry, RunManifest};
 use quorum_replica::scenario::PaperScenario;
 use quorum_replica::{run_static_observed, CurveSet, RunConfig, RunResults, Workload};
+use quorum_stats::par_map;
 
 /// Configuration of one validation sweep.
 #[derive(Debug, Clone)]
@@ -115,33 +116,21 @@ pub fn run(opts: &ValidateOpts) -> ValidateReport {
     // cover the entire sweep.
     let raw_cells = {
         let _t = registry.scoped_timer(keys::VALIDATE_GRID);
-        let topo_ref = &topo;
-        let reg = &registry;
-        let params = opts.params;
-        let seed = opts.seed;
-        type CellJob<'a> = Box<dyn FnOnce() -> (f64, u64, RunResults) + Send + 'a>;
-        let jobs: Vec<CellJob> = opts
-            .grid
-            .iter()
-            .map(|&(alpha, q_r)| {
-                Box::new(move || {
-                    let res = run_static_observed(
-                        topo_ref,
-                        VoteAssignment::uniform(n),
-                        QuorumSpec::from_read_quorum(q_r, total).expect("valid"),
-                        Workload::uniform(n, alpha),
-                        RunConfig {
-                            params,
-                            seed: seed + 1000 + q_r + (alpha * 7.0) as u64,
-                            threads: 1,
-                        },
-                        reg,
-                    );
-                    (alpha, q_r, res)
-                }) as CellJob
-            })
-            .collect();
-        run_jobs(opts.threads, jobs)
+        par_map(&opts.grid, opts.threads, |&(alpha, q_r)| {
+            let res = run_static_observed(
+                &topo,
+                VoteAssignment::uniform(n),
+                QuorumSpec::from_read_quorum(q_r, total).expect("valid"),
+                Workload::uniform(n, alpha),
+                RunConfig {
+                    params: opts.params,
+                    seed: opts.seed + 1000 + q_r + (alpha * 7.0) as u64,
+                    threads: 1,
+                },
+                &registry,
+            );
+            (alpha, q_r, res)
+        })
     };
 
     let mut worst: f64 = 0.0;
@@ -216,7 +205,8 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-        );
+        )
+        .expect("valid arguments");
         let opts = ValidateOpts::from_cli(&args);
         assert_eq!(opts.chords, 16);
         assert_eq!(opts.seed, 9);

@@ -70,11 +70,6 @@ pub struct ClusterConfig {
     pub record_outcomes: bool,
     /// Upper bucket edges of the session-latency histograms.
     pub latency_bounds: Vec<f64>,
-    /// Maintain components incrementally ([`quorum_graph::DeltaConnectivity`])
-    /// instead of re-running a full BFS after every topology event. Both
-    /// kernels produce bit-identical component views; this flag exists so
-    /// tests and benchmarks can pin that equivalence.
-    pub delta_kernel: bool,
 }
 
 impl ClusterConfig {
@@ -101,7 +96,6 @@ impl ClusterConfig {
             mix_epoch_votes: false,
             record_outcomes: false,
             latency_bounds: Self::default_latency_bounds(),
-            delta_kernel: true,
         }
     }
 

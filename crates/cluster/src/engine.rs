@@ -325,11 +325,7 @@ impl<'a> ClusterEngine<'a> {
             config: &self.config,
             queue,
             state: NetworkState::all_up(self.topology),
-            cache: if self.config.delta_kernel {
-                ComponentCache::incremental()
-            } else {
-                ComponentCache::new()
-            },
+            cache: ComponentCache::new(),
             procs,
             fail_rng,
             access_rng,

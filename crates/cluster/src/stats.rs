@@ -144,7 +144,7 @@ pub struct ClusterStats {
     /// Events popped from the queue.
     pub events_processed: u64,
     /// Topology events the incremental kernel absorbed by merging
-    /// components (zero when the kernel is disabled).
+    /// components.
     pub delta_merges: u64,
     /// Topology events absorbed by re-scanning one component.
     pub delta_rescans: u64,

@@ -6,9 +6,10 @@
 //! the `v` in the paper's density `f_i(v)`. Down sites are "members of a
 //! component of size zero" (§5.2), represented here by [`ComponentView::DOWN`].
 //!
-//! [`ComponentCache`] adds the dirty-flag memoization used by the
-//! simulator: accesses between two topology events see the same partition,
-//! so the BFS need only rerun when a failure/recovery actually intervened.
+//! [`ComponentCache`] adds the memoization the engines use: accesses
+//! between two topology events see the same partition, and the
+//! incremental [`DeltaConnectivity`] kernel absorbs each event, so a view
+//! is only re-materialized when a failure/recovery actually intervened.
 
 use crate::bitset::BitSet;
 use crate::delta::{DeltaConnectivity, DeltaCounters, DeltaOutcome, TopologyEvent};
@@ -197,73 +198,39 @@ impl ComponentView {
     }
 }
 
-/// Dirty-flag memoization of [`ComponentView`], optionally backed by the
-/// incremental [`DeltaConnectivity`] kernel.
+/// Memoized [`ComponentView`] maintained by the incremental
+/// [`DeltaConnectivity`] kernel.
 ///
-/// The simulator calls [`ComponentCache::apply_event`] (or the legacy
-/// [`ComponentCache::invalidate`]) on every topology event and
-/// [`ComponentCache::view`] on every access; recomputation only happens
-/// when at least one event separated two accesses.
-///
-/// With the kernel enabled ([`ComponentCache::incremental`]) the
-/// recomputation is not a whole-graph BFS: recoveries merge components
+/// The engines call [`ComponentCache::apply_event`] on every topology
+/// event and [`ComponentCache::view`] on every access; a view is only
+/// re-materialized when at least one event separated two accesses. The
+/// refresh is never a whole-graph BFS: recoveries merge components
 /// (union-find), failures re-scan one component, and provably
-/// partition-preserving events are filtered outright. The served views
-/// are bit-identical either way, and so are the hit/recompute counters —
-/// both count view calls with at least one intervening event, regardless
-/// of how the refresh is produced.
-#[derive(Debug, Clone)]
+/// partition-preserving events are filtered outright. Every served view
+/// is bit-identical to a fresh [`ComponentView::compute`], the oracle the
+/// kernel's tests check against.
+#[derive(Debug, Clone, Default)]
 pub struct ComponentCache {
     view: Option<ComponentView>,
     kernel: Option<DeltaConnectivity>,
-    use_kernel: bool,
     recomputations: u64,
     hits: u64,
     delta: DeltaCounters,
 }
 
 impl ComponentCache {
-    /// An empty (dirty) cache refreshing via full BFS — the reference
-    /// path every kernel result is pinned against.
+    /// An empty cache; the kernel is built from the state on first use.
     pub fn new() -> Self {
-        Self {
-            view: None,
-            kernel: None,
-            use_kernel: false,
-            recomputations: 0,
-            hits: 0,
-            delta: DeltaCounters::default(),
-        }
+        Self::default()
     }
 
-    /// An empty cache refreshing via the incremental kernel.
-    pub fn incremental() -> Self {
-        Self {
-            use_kernel: true,
-            ..Self::new()
-        }
-    }
-
-    /// True if this cache refreshes through the incremental kernel.
-    pub fn is_incremental(&self) -> bool {
-        self.use_kernel
-    }
-
-    /// Marks the cached view stale and drops the kernel (the state may
-    /// change arbitrarily before the next [`Self::view`] call).
-    pub fn invalidate(&mut self) {
-        self.view = None;
-        self.kernel = None;
-    }
-
-    /// Applies one topology event: the fast path the engines call after
+    /// Applies one topology event, called after
     /// `NetworkState::set_site`/`set_link` reported an actual change
     /// (with `state` already reflecting the event).
     ///
-    /// Without the kernel this degenerates to [`Self::invalidate`]. With
-    /// it, the kernel absorbs the event incrementally — or, if no kernel
-    /// is built yet, is rebuilt from `state` (counted as a full
-    /// recompute, so every event lands in exactly one delta counter).
+    /// The kernel absorbs the event incrementally — or, if no kernel is
+    /// built yet, is built from `state` (counted as a full recompute, so
+    /// every event lands in exactly one delta counter).
     pub fn apply_event(
         &mut self,
         topology: &Topology,
@@ -272,9 +239,6 @@ impl ComponentCache {
         event: TopologyEvent,
     ) {
         self.view = None;
-        if !self.use_kernel {
-            return;
-        }
         match &mut self.kernel {
             Some(kernel) => match kernel.apply(event) {
                 DeltaOutcome::Merge => self.delta.merges += 1,
@@ -298,15 +262,11 @@ impl ComponentCache {
         votes: &[u64],
     ) -> &ComponentView {
         if self.view.is_none() {
-            if self.use_kernel {
-                let kernel = self
-                    .kernel
-                    .get_or_insert_with(|| DeltaConnectivity::new(topology, state, votes));
-                debug_assert!(kernel.in_sync_with(state), "kernel missed an event");
-                self.view = Some(kernel.to_view());
-            } else {
-                self.view = Some(ComponentView::compute(topology, state, votes));
-            }
+            let kernel = self
+                .kernel
+                .get_or_insert_with(|| DeltaConnectivity::new(topology, state, votes));
+            debug_assert!(kernel.in_sync_with(state), "kernel missed an event");
+            self.view = Some(kernel.to_view());
             self.recomputations += 1;
         } else {
             self.hits += 1;
@@ -314,8 +274,8 @@ impl ComponentCache {
         self.view.as_ref().expect("just ensured")
     }
 
-    /// Number of view refreshes performed (full BFS without the kernel;
-    /// canonical re-materializations with it).
+    /// Number of view refreshes performed (canonical re-materializations
+    /// of the kernel's partition).
     pub fn recomputations(&self) -> u64 {
         self.recomputations
     }
@@ -325,7 +285,7 @@ impl ComponentCache {
         self.hits
     }
 
-    /// Lifetime fast-path totals (all zero without the kernel).
+    /// Lifetime fast-path totals of the kernel.
     pub fn delta_counters(&self) -> DeltaCounters {
         self.delta
     }
@@ -343,12 +303,6 @@ impl ComponentCache {
             quorum_obs::keys::FULL_RECOMPUTES,
             self.delta.full_recomputes,
         );
-    }
-}
-
-impl Default for ComponentCache {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -474,6 +428,34 @@ mod tests {
         assert_eq!(v.largest_component_votes(), 0);
     }
 
+    /// Sets `site` to `up` and reports the transition, if it was one.
+    fn toggle_site(
+        cache: &mut ComponentCache,
+        t: &Topology,
+        s: &mut NetworkState,
+        votes: &[u64],
+        site: usize,
+        up: bool,
+    ) {
+        if s.set_site(site, up) {
+            cache.apply_event(t, s, votes, TopologyEvent::Site { site, up });
+        }
+    }
+
+    /// Sets `link` to `up` and reports the transition, if it was one.
+    fn toggle_link(
+        cache: &mut ComponentCache,
+        t: &Topology,
+        s: &mut NetworkState,
+        votes: &[u64],
+        link: usize,
+        up: bool,
+    ) {
+        if s.set_link(link, up) {
+            cache.apply_event(t, s, votes, TopologyEvent::Link { link, up });
+        }
+    }
+
     #[test]
     fn cache_recomputes_only_when_invalidated() {
         let t = Topology::ring(5);
@@ -485,8 +467,7 @@ mod tests {
         assert_eq!(cache.recomputations(), 1);
         assert_eq!(cache.hits(), 1);
 
-        s.set_site(0, false);
-        cache.invalidate();
+        toggle_site(&mut cache, &t, &mut s, &votes, 0, false);
         assert_eq!(cache.view(&t, &s, &votes).votes_of(1), 4);
         assert_eq!(cache.recomputations(), 2);
     }
@@ -499,8 +480,7 @@ mod tests {
         let mut cache = ComponentCache::new();
         for i in 0..6 {
             if i % 3 == 0 {
-                s.set_site(i % 5, i % 2 == 0);
-                cache.invalidate();
+                toggle_site(&mut cache, &t, &mut s, &votes, i % 5, i % 2 == 0);
             }
             cache.view(&t, &s, &votes);
         }
@@ -522,9 +502,8 @@ mod tests {
         let votes = uniform_votes(21);
         let mut cache = ComponentCache::new();
         for i in 0..10 {
-            s.set_site(i, i % 2 == 0);
-            s.set_link(i, i % 3 != 0);
-            cache.invalidate();
+            toggle_site(&mut cache, &t, &mut s, &votes, i, i % 2 == 0);
+            toggle_link(&mut cache, &t, &mut s, &votes, i, i % 3 != 0);
             let cached: Vec<u64> = (0..21)
                 .map(|x| cache.view(&t, &s, &votes).votes_of(x))
                 .collect();
@@ -539,57 +518,29 @@ mod tests {
         let t = Topology::ring_with_chords(21, 8);
         let mut s = NetworkState::all_up(&t);
         let votes: Vec<u64> = (0..21).map(|i| (i % 3 + 1) as u64).collect();
-        let mut fast = ComponentCache::incremental();
-        let mut slow = ComponentCache::new();
+        let mut cache = ComponentCache::new();
         for i in 0..40usize {
             if i % 2 == 0 {
                 let site = (i * 7) % 21;
                 let up = !s.site_up(site);
-                s.set_site(site, up);
-                fast.apply_event(&t, &s, &votes, TopologyEvent::Site { site, up });
-                slow.apply_event(&t, &s, &votes, TopologyEvent::Site { site, up });
+                toggle_site(&mut cache, &t, &mut s, &votes, site, up);
             } else {
                 let link = (i * 11) % t.num_links();
                 let up = !s.link_up(link);
-                s.set_link(link, up);
-                fast.apply_event(&t, &s, &votes, TopologyEvent::Link { link, up });
-                slow.apply_event(&t, &s, &votes, TopologyEvent::Link { link, up });
+                toggle_link(&mut cache, &t, &mut s, &votes, link, up);
             }
-            let a = fast.view(&t, &s, &votes).clone();
-            let b = slow.view(&t, &s, &votes).clone();
-            assert_eq!(a, b, "kernel diverged at step {i}");
+            let reference = ComponentView::compute(&t, &s, &votes);
+            assert_eq!(
+                cache.view(&t, &s, &votes),
+                &reference,
+                "kernel diverged at step {i}"
+            );
         }
-        // Counter parity: both caches saw the same call pattern.
-        assert_eq!(fast.hits(), slow.hits());
-        assert_eq!(fast.recomputations(), slow.recomputations());
-        // Every event classified exactly once; the reference path
-        // classified none.
-        assert_eq!(fast.delta_counters().total(), 40);
-        assert_eq!(slow.delta_counters().total(), 0);
-    }
-
-    #[test]
-    fn incremental_cache_survives_invalidate() {
-        let t = Topology::ring(7);
-        let mut s = NetworkState::all_up(&t);
-        let votes = uniform_votes(7);
-        let mut cache = ComponentCache::incremental();
-        assert_eq!(cache.view(&t, &s, &votes).votes_of(0), 7);
-        // Arbitrary state change without an event: invalidate must drop
-        // the kernel, and the next event rebuilds it from state.
-        s.set_site(2, false);
-        s.set_site(3, false);
-        cache.invalidate();
-        assert_eq!(cache.view(&t, &s, &votes).votes_of(0), 5);
-        s.set_site(3, true);
-        cache.apply_event(&t, &s, &votes, TopologyEvent::Site { site: 3, up: true });
-        assert_eq!(
-            cache.delta_counters().merges,
-            1,
-            "kernel built by view() absorbs later events incrementally"
-        );
-        let fresh = ComponentView::compute(&t, &s, &votes);
-        assert_eq!(cache.view(&t, &s, &votes), &fresh);
+        // One refresh per event-separated view call, and every event
+        // classified exactly once.
+        assert_eq!(cache.hits(), 0);
+        assert_eq!(cache.recomputations(), 40);
+        assert_eq!(cache.delta_counters().total(), 40);
     }
 
     #[test]
@@ -597,7 +548,7 @@ mod tests {
         let t = Topology::ring(5);
         let mut s = NetworkState::all_up(&t);
         let votes = uniform_votes(5);
-        let mut cache = ComponentCache::incremental();
+        let mut cache = ComponentCache::new();
         s.set_site(1, false);
         cache.apply_event(&t, &s, &votes, TopologyEvent::Site { site: 1, up: false });
         assert_eq!(cache.delta_counters().full_recomputes, 1);

@@ -14,11 +14,11 @@
 //!   (star, grid, path, G(n,p)) used by tests and examples.
 //! * [`NetworkState`] — which sites/links are currently up.
 //! * [`ComponentView`] / [`ComponentCache`] — BFS component labelling over
-//!   the up-subgraph, with a dirty-flag cache so the simulator only pays for
-//!   recomputation when topology events actually intervened between
+//!   the up-subgraph, and the cache the engines read it through: a view is
+//!   only re-materialized when topology events actually intervened between
 //!   accesses.
 //! * [`DeltaConnectivity`] — the incremental kernel behind
-//!   [`ComponentCache::incremental`]: recoveries merge components
+//!   [`ComponentCache`]: recoveries merge components
 //!   (union-find over member bitsets), failures re-scan only the affected
 //!   component, provable no-ops are filtered, and all scans are
 //!   word-parallel over per-site adjacency bitsets.

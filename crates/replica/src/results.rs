@@ -50,12 +50,12 @@ pub struct BatchStats {
     /// Granted writes that did not see the most recent write — lost
     /// updates (0 under valid quorums — condition 2).
     pub write_conflicts: u64,
-    /// Component BFS recomputations performed.
+    /// Component view refreshes performed.
     pub cache_recomputations: u64,
     /// Accesses served without recomputation.
     pub cache_hits: u64,
     /// Topology events the incremental kernel absorbed by merging
-    /// components (zero when the kernel is disabled).
+    /// components.
     pub delta_merges: u64,
     /// Topology events absorbed by re-scanning one component.
     pub delta_rescans: u64,

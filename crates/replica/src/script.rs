@@ -10,7 +10,7 @@
 use crate::object::SerializabilityChecker;
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
-use quorum_graph::{ComponentCache, NetworkState, Topology};
+use quorum_graph::{ComponentCache, NetworkState, Topology, TopologyEvent};
 
 /// One scripted step.
 #[derive(Debug, Clone)]
@@ -101,26 +101,10 @@ impl<'a> Scenario<'a> {
         let idx = self.steps_run;
         self.steps_run += 1;
         match step {
-            Step::FailSite(s) => {
-                if self.state.set_site(s, false) {
-                    self.cache.invalidate();
-                }
-            }
-            Step::RepairSite(s) => {
-                if self.state.set_site(s, true) {
-                    self.cache.invalidate();
-                }
-            }
-            Step::FailLink(l) => {
-                if self.state.set_link(l, false) {
-                    self.cache.invalidate();
-                }
-            }
-            Step::RepairLink(l) => {
-                if self.state.set_link(l, true) {
-                    self.cache.invalidate();
-                }
-            }
+            Step::FailSite(site) => self.set_site(site, false),
+            Step::RepairSite(site) => self.set_site(site, true),
+            Step::FailLink(link) => self.set_link(link, false),
+            Step::RepairLink(link) => self.set_link(link, true),
             Step::Access(kind, site) => {
                 let view = self
                     .cache
@@ -152,6 +136,30 @@ impl<'a> Scenario<'a> {
                     consistent,
                 });
             }
+        }
+    }
+
+    /// Sets `site` to `up`, feeding a real transition to the kernel.
+    fn set_site(&mut self, site: usize, up: bool) {
+        if self.state.set_site(site, up) {
+            self.cache.apply_event(
+                self.topology,
+                &self.state,
+                self.votes.as_slice(),
+                TopologyEvent::Site { site, up },
+            );
+        }
+    }
+
+    /// Sets `link` to `up`, feeding a real transition to the kernel.
+    fn set_link(&mut self, link: usize, up: bool) {
+        if self.state.set_link(link, up) {
+            self.cache.apply_event(
+                self.topology,
+                &self.state,
+                self.votes.as_slice(),
+                TopologyEvent::Link { link, up },
+            );
         }
     }
 

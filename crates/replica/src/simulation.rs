@@ -7,8 +7,10 @@
 //! * accesses arrive as the superposition of the per-site Poisson streams —
 //!   an aggregate Poisson process of rate `n/μ_t` whose submitting site is
 //!   drawn from the workload's `r_i`/`w_i` distribution;
-//! * all events are instantaneous; components are recomputed lazily (dirty
-//!   flag) only when a failure/recovery intervened since the last access.
+//! * all events are instantaneous; the future-event list is a calendar
+//!   queue, and components are maintained by the incremental connectivity
+//!   kernel and re-materialized only when a failure/recovery intervened
+//!   since the last access.
 //!
 //! The first `warmup_accesses` accesses after the all-up initial state are
 //! discarded; the next `batch_accesses` are measured.
@@ -19,7 +21,7 @@ use crate::results::BatchStats;
 use crate::workload::Workload;
 use quorum_core::protocol::{ConsistencyProtocol, Decision};
 use quorum_core::{Access, VoteAssignment};
-use quorum_des::{CalendarQueue, EventQueue, EventSchedule, PoissonProcess, SimParams, SimTime};
+use quorum_des::{CalendarQueue, PoissonProcess, SimParams, SimTime};
 use quorum_graph::{ComponentCache, NetworkState, Topology, TopologyEvent};
 use quorum_stats::rng::{derive_seed, rng_from_seed};
 use quorum_stats::VoteHistogram;
@@ -50,8 +52,6 @@ pub struct Simulation<'a> {
     batches_run: u64,
     probe_survivability: bool,
     time_weighted: bool,
-    delta_kernel: bool,
-    timer_wheel: bool,
     site_reliabilities: Option<Vec<f64>>,
     link_reliabilities: Option<Vec<f64>>,
 }
@@ -138,30 +138,9 @@ impl<'a> Simulation<'a> {
             batches_run: 0,
             probe_survivability: false,
             time_weighted: false,
-            delta_kernel: true,
-            timer_wheel: true,
             site_reliabilities: None,
             link_reliabilities: None,
         }
-    }
-
-    /// Selects the component-maintenance kernel (default: incremental).
-    /// The reported numbers are bit-identical either way — pinned by
-    /// `tests/delta_kernel.rs` — so this knob exists for that pin test
-    /// and for benchmarking the kernels against each other.
-    pub fn with_delta_kernel(mut self, enable: bool) -> Self {
-        self.delta_kernel = enable;
-        self
-    }
-
-    /// Selects the future-event list (default: calendar queue / timer
-    /// wheel). The binary heap stays available as the reference
-    /// implementation; both pop bit-identical event sequences on a
-    /// shared seed, pinned by the `timer_wheel_matches_heap` test and
-    /// the queue-level equivalence proptest in `quorum-des`.
-    pub fn with_timer_wheel(mut self, enable: bool) -> Self {
-        self.timer_wheel = enable;
-        self
     }
 
     /// Overrides the per-site reliabilities (links keep the global
@@ -252,22 +231,6 @@ impl<'a> Simulation<'a> {
         observer: &mut dyn AccessObserver,
         batch_index: u64,
     ) -> BatchStats {
-        // Both event lists consume the RNG streams identically and pop
-        // in the same order, so this dispatch never changes a number.
-        if self.timer_wheel {
-            self.run_batch_on(CalendarQueue::new(), protocol, observer, batch_index)
-        } else {
-            self.run_batch_on(EventQueue::new(), protocol, observer, batch_index)
-        }
-    }
-
-    fn run_batch_on<P: ConsistencyProtocol, Q: EventSchedule<Event>>(
-        &mut self,
-        mut queue: Q,
-        protocol: &mut P,
-        observer: &mut dyn AccessObserver,
-        batch_index: u64,
-    ) -> BatchStats {
         let n = self.topology.num_sites();
         let m = self.topology.num_links();
         let total_votes = self.votes.total() as usize;
@@ -278,12 +241,9 @@ impl<'a> Simulation<'a> {
         let mut access_rng: StdRng = rng_from_seed(derive_seed(seed, 2));
         let mut workload_rng: StdRng = rng_from_seed(derive_seed(seed, 3));
 
+        let mut queue = CalendarQueue::new();
         let mut state = NetworkState::all_up(self.topology);
-        let mut cache = if self.delta_kernel {
-            ComponentCache::incremental()
-        } else {
-            ComponentCache::new()
-        };
+        let mut cache = ComponentCache::new();
         let mut checker = SerializabilityChecker::new(n);
         let mut stats = BatchStats::new(n, total_votes);
 
@@ -526,18 +486,17 @@ mod tests {
     }
 
     #[test]
-    fn timer_wheel_matches_heap_bit_identically() {
-        // The calendar queue is the production event list; the heap is
-        // the reference. On a shared seed every statistic must agree
-        // exactly — the wheel only changes how the next event is found,
-        // never which event is next.
+    fn batch_stats_match_golden() {
+        // Exact statistics of one seeded batch. Any change to the RNG
+        // streams, the calendar queue's pop order or the served component
+        // views moves at least one of them. The queue-level differential
+        // proptest in quorum-des pins the calendar queue pop-for-pop to the
+        // heap `EventQueue`, so these are the heap's numbers too.
         let topo = Topology::ring_with_chords(13, 3);
-        let run = |wheel: bool| {
-            let mut sim = Simulation::new(&topo, quick_params(), Workload::uniform(13, 0.6), 19)
-                .with_timer_wheel(wheel);
-            let mut proto =
-                QuorumConsensus::new(VoteAssignment::uniform(13), QuorumSpec::majority(13));
-            let s = sim.run_batch(&mut proto, &mut NullObserver);
+        let mut sim = Simulation::new(&topo, quick_params(), Workload::uniform(13, 0.6), 19);
+        let mut proto = QuorumConsensus::new(VoteAssignment::uniform(13), QuorumSpec::majority(13));
+        let s = sim.run_batch(&mut proto, &mut NullObserver);
+        assert_eq!(
             (
                 s.reads_granted,
                 s.writes_granted,
@@ -549,9 +508,24 @@ mod tests {
                 s.contact_messages,
                 s.cache_hits,
                 s.cache_recomputations,
-            )
-        };
-        assert_eq!(run(true), run(false));
+            ),
+            (2315, 1545, 2405, 1595, 48, 86, 4634, 27061, 4370, 130)
+        );
+        assert_eq!(
+            (
+                s.delta_merges,
+                s.delta_rescans,
+                s.delta_noops,
+                s.full_recomputes,
+                s.accesses_dispatched
+            ),
+            (30, 67, 37, 0, 4500)
+        );
+        assert_eq!(
+            s.delta_merges + s.delta_rescans + s.delta_noops + s.full_recomputes,
+            s.site_transitions + s.link_transitions,
+            "every transition classified exactly once"
+        );
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl FailureTimeline {
             TimelineEvent::Link,
         );
         let mut state = NetworkState::all_up(topology);
-        let mut cache = ComponentCache::incremental();
+        let mut cache = ComponentCache::new();
 
         let mut out = Self {
             epoch_end: Vec::new(),

@@ -41,6 +41,7 @@
 //! the ratio is ≤ 1 up to clock-read noise.
 
 use crate::batch::BatchMeans;
+use crate::parallel::par_map;
 use std::time::{Duration, Instant};
 
 /// Stopping rule and execution shape of one convergence loop.
@@ -106,48 +107,18 @@ impl Convergence {
 }
 
 /// Runs one round of batch indices across up to `threads` scoped
-/// workers, returning `(stats, elapsed)` pairs aligned with `indices`.
-///
-/// Work is split round-robin (static), and results are reassembled by
-/// index, so the output order — and therefore everything downstream —
-/// is independent of the thread count.
+/// workers, returning `(stats, elapsed)` pairs aligned with `indices`
+/// (via [`par_map`], so the order is independent of the thread count).
 fn run_round<S, J>(indices: &[u64], threads: usize, job: &J) -> Vec<(S, Duration)>
 where
     S: Send,
     J: Fn(u64) -> S + Sync,
 {
-    let timed = |i: u64| {
+    par_map(indices, threads, |&i| {
         let started = Instant::now();
         let stats = job(i);
         (stats, started.elapsed())
-    };
-    let threads = threads.max(1).min(indices.len());
-    if threads <= 1 {
-        return indices.iter().map(|&i| timed(i)).collect();
-    }
-    let mut tagged: Vec<(u64, S, Duration)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let chunk: Vec<u64> = indices.iter().copied().skip(t).step_by(threads).collect();
-                let timed = &timed;
-                scope.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .map(|i| {
-                            let (stats, elapsed) = timed(i);
-                            (i, stats, elapsed)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-    tagged.sort_by_key(|&(i, _, _)| i);
-    tagged.into_iter().map(|(_, s, d)| (s, d)).collect()
+    })
 }
 
 /// Runs batches until the confidence interval on `primary` converges.

@@ -16,6 +16,8 @@
 //!   them: runs `Fn(batch_index) -> stats` jobs on scoped worker
 //!   threads, merges deterministically by batch index, and applies the
 //!   stop-when-tight rule (every multi-batch runner shares this loop).
+//! * [`par_map`] — the ordered parallel job runner underneath it, also
+//!   used by every experiment driver that sweeps independent cells.
 //! * One-dimensional optimizers ([`optimize`]) — exhaustive integer argmax,
 //!   the golden-section search the paper suggests in §4.1, and Brent's
 //!   method for continuous relaxations.
@@ -31,6 +33,7 @@ pub mod converge;
 pub mod discrete;
 pub mod histogram;
 pub mod optimize;
+pub mod parallel;
 pub mod rng;
 
 pub use batch::{BatchMeans, RunningStats};
@@ -38,3 +41,4 @@ pub use ci::ConfidenceInterval;
 pub use converge::{converge, ConvergeParams, Convergence, TracePoint};
 pub use discrete::DiscreteDist;
 pub use histogram::{CountingHistogram, DecayedHistogram, VoteHistogram};
+pub use parallel::par_map;
